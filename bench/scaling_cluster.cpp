@@ -4,7 +4,7 @@
 // prepared DAG host-aware (dist::Partitioner kHostAware — inter-host cut
 // first, intra-host balance second), runs the unmodified kernel on every
 // shard, and prices the ghost scatter + count all-reduce on the two-level
-// simt::ClusterInterconnect (NVLink within a host, the --interconnect
+// simt::Interconnect (NVLink within a host, the --interconnect
 // network between). Every row reports the same run under all four
 // (aggregation, overlap) combinations — flat_sync_ms is what a naive
 // synchronous per-row scatter pays, agg_overlap_ms the buffered + pipelined
@@ -128,8 +128,7 @@ int main(int argc, char** argv) {
               << " tri=" << graph->reference_triangles << '\n';
 
     for (const auto& cs : shapes) {
-      dist::MultiDeviceRunner runner(
-          engine, dist::MultiRunConfig::for_cluster(cs, strategy));
+      dist::MultiDeviceRunner runner(engine, {cs, strategy});
       const std::string topology =
           cs.hosts > 1 ? cs.host.intra.name + "+" + cs.inter.name
                        : cs.host.intra.name;

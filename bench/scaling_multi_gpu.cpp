@@ -2,8 +2,9 @@
 //
 // Sweeps device count x partition strategy x dataset for all nine kernels:
 // each cell shards the prepared DAG (src/dist/), runs the unmodified kernel
-// on every shard, and reports the modeled parallel time (slowest device +
-// ghost scatter + count all-reduce), the speedup over the cached
+// on every shard, and reports the modeled parallel time (each device's
+// kernel overlapped with its buffered ghost receive, then the count
+// all-reduce), the speedup over the cached
 // single-device baseline, the load imbalance (max/mean device kernel time)
 // and the partition's replication cost.
 //
@@ -12,7 +13,7 @@
 // of each. A cell whose aggregated count mismatches the CPU reference is
 // flagged with '!' and fails the run. Machine-readable output shares its
 // schema with the multi-node sweep (scaling_schema.hpp; this bench's rows
-// are the single-host degenerate case — hosts=1, zero inter-host bytes).
+// are one-host clusters — hosts=1, zero inter-host bytes).
 #include <iostream>
 
 #include "dist/runner.hpp"
@@ -60,7 +61,8 @@ int main(int argc, char** argv) {
 
     for (const auto strategy : strategies) {
       for (const std::uint32_t n : device_counts) {
-        dist::MultiDeviceRunner runner(engine, {n, strategy, link});
+        dist::MultiDeviceRunner runner(
+            engine, {simt::ClusterSpec::single_host(n, link), strategy});
         for (const auto& entry : algos) {
           const auto algo = entry.make();
           const dist::MultiRunResult r = runner.run(*algo, graph);

@@ -2,27 +2,45 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
+#include <utility>
 
 #include "framework/capacity.hpp"
 
 namespace tcgpu::fleet {
 
+namespace {
+
+simt::ClusterSpec fleet_cluster(const Fleet::Config& cfg) {
+  const std::uint32_t devices = std::max(1u, cfg.devices);
+  const std::uint32_t hosts = std::max(1u, cfg.hosts);
+  if (devices % hosts != 0) {
+    throw std::invalid_argument(
+        "Fleet: devices must be a positive multiple of hosts");
+  }
+  simt::ClusterSpec cs = simt::ClusterSpec::single_host(devices / hosts,
+                                                        cfg.interconnect);
+  cs.hosts = hosts;
+  cs.inter = cfg.inter;
+  return cs;
+}
+
+}  // namespace
+
 Fleet::Fleet(framework::Engine& engine, Config cfg)
     : engine_(engine),
-      cfg_(cfg),
+      cfg_(std::move(cfg)),
+      cluster_(fleet_cluster(cfg_)),
       selector_(serve::Selector::Config{engine.config().spec, /*refine=*/false}),
       placer_(selector_,
-              Placer::Config{std::max(1u, cfg.devices), cfg.max_shards,
-                             cfg.strategy, cfg.interconnect,
-                             cfg.shard_min_kernel_ms, cfg.min_speedup,
-                             std::max(1u, cfg.hosts), cfg.inter}) {
-  const std::uint32_t n = std::max(1u, cfg_.devices);
+              Placer::Config{cluster_, cfg_.max_shards, cfg_.strategy,
+                             cfg_.shard_min_kernel_ms, cfg_.min_speedup}) {
   const std::uint64_t capacity =
       cfg_.device_capacity_bytes != 0
           ? cfg_.device_capacity_bytes
           : framework::device_budget_bytes(engine_.config().spec);
-  slots_.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
+  slots_.resize(cluster_.num_devices());
+  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     slots_[i].id = i;
     slots_[i].capacity_bytes = capacity;
   }
@@ -30,23 +48,15 @@ Fleet::Fleet(framework::Engine& engine, Config cfg)
 
 Placement Fleet::placement_for(const serve::ExecutionRequest& req) {
   const auto key = std::make_pair(req.key, req.version);
-  std::vector<double> busy;
   {
     std::lock_guard lk(mu_);
     const auto it = placements_.find(key);
     if (it != placements_.end()) return it->second;
-    if (cfg_.load_aware) {
-      busy.reserve(slots_.size());
-      for (const DeviceSlot& s : slots_) busy.push_back(s.busy_ms);
-    }
   }
   // Latched on first decision per (graph, version) — like selector picks —
   // and computed from stats + config only (never load), so the table is
-  // reproducible across worker counts and arrival orders. The opt-in
-  // load-aware mode folds a snapshot of the slots' queued time into that
-  // first decision instead (the latch still holds afterwards).
-  const Placement pl =
-      placer_.decide(req.algorithm, req.modeled, req.graph->stats, busy);
+  // reproducible across worker counts and arrival orders.
+  const Placement pl = placer_.decide(req.algorithm, req.modeled, req.graph->stats);
   std::lock_guard lk(mu_);
   return placements_.emplace(key, pl).first->second;
 }
@@ -55,25 +65,12 @@ dist::MultiDeviceRunner& Fleet::runner_for(std::uint32_t shards) {
   std::lock_guard lk(mu_);
   auto& runner = runners_[shards];
   if (!runner) {
+    // The placer only picks widths that have a layout, and prices them on
+    // this same slice of the cluster.
     dist::MultiRunConfig rc;
-    rc.num_devices = shards;
+    rc.cluster = cluster_.slice(shards).value();
     rc.strategy = cfg_.strategy;
-    rc.interconnect = cfg_.interconnect;
     rc.measure_baseline = false;  // the serving path never pays an extra run
-    // On a cluster, a width that spills past one host's devices runs over
-    // the two-level comm model. Hosts fill in contiguous blocks, so the
-    // shard count per host is the width split over the fewest power-of-two
-    // hosts that fit it (widths are powers of two; a power-of-two host
-    // count always divides one).
-    if (cfg_.hosts > 1) {
-      const std::uint32_t per_host =
-          std::max(1u, std::max(1u, cfg_.devices) / cfg_.hosts);
-      const std::uint32_t need = (shards + per_host - 1) / per_host;
-      std::uint32_t h = 1;
-      while (h < need) h <<= 1;
-      rc.hosts = std::min(h, shards);
-      rc.inter = cfg_.inter;
-    }
     runner = std::make_unique<dist::MultiDeviceRunner>(engine_, rc);
   }
   return *runner;
@@ -124,6 +121,9 @@ serve::ExecutionOutcome Fleet::run_sharded(const serve::ExecutionRequest& req,
                                            const Placement& placement) {
   dist::MultiDeviceRunner& runner = runner_for(placement.shards);
   const dist::MultiRunResult mr = runner.run(req.algorithm, req.graph);
+  // One-shot graphs (inline queries, version-pinned snapshots) are never
+  // asked about again; their shard images go with the run.
+  if (req.graph->name != req.key) runner.release(req.graph->name);
 
   serve::ExecutionOutcome out;
   out.run.algorithm = mr.algorithm;
@@ -188,13 +188,20 @@ serve::ExecutionOutcome Fleet::execute(const serve::ExecutionRequest& req) {
 
 void Fleet::invalidate(const std::string& key) {
   cache_.invalidate(key);
-  std::lock_guard lk(mu_);
-  ++counters_.invalidations;
-  for (auto it = placements_.lower_bound(std::make_pair(key, std::uint64_t{0}));
-       it != placements_.end() && it->first.first == key;) {
-    it = placements_.erase(it);
+  std::vector<dist::MultiDeviceRunner*> runners;
+  {
+    std::lock_guard lk(mu_);
+    ++counters_.invalidations;
+    for (auto it = placements_.lower_bound(std::make_pair(key, std::uint64_t{0}));
+         it != placements_.end() && it->first.first == key;) {
+      it = placements_.erase(it);
+    }
+    for (DeviceSlot& s : slots_) s.drop(key);
+    for (const auto& [width, runner] : runners_) runners.push_back(runner.get());
   }
-  for (DeviceSlot& s : slots_) s.drop(key);
+  // Runners live as long as the fleet; their shard images are freed outside
+  // the fleet lock so concurrent dispatch does not wait on it.
+  for (dist::MultiDeviceRunner* runner : runners) runner->release(key);
 }
 
 std::vector<std::pair<std::string, std::string>> Fleet::placement_table()
@@ -221,6 +228,15 @@ std::vector<DeviceSlot> Fleet::slots() const {
 FleetCounters Fleet::counters() const {
   std::lock_guard lk(mu_);
   return counters_;
+}
+
+std::map<std::uint32_t, std::size_t> Fleet::pooled_shard_sets() const {
+  std::lock_guard lk(mu_);
+  std::map<std::uint32_t, std::size_t> out;
+  for (const auto& [width, runner] : runners_) {
+    out[width] = runner->pooled_graphs();
+  }
+  return out;
 }
 
 }  // namespace tcgpu::fleet

@@ -16,6 +16,12 @@
 //      serving path must not pay an extra full kernel per query) and charge
 //      each participating slot its shard's kernel time.
 //
+// The fleet's devices and links are one simt::ClusterSpec, built once from
+// the Config. A width-k placement is priced and run on the same k devices,
+// ClusterSpec::slice(k); a one-host fleet is simply the one-host cluster.
+// Shard images of a graph are dropped when its key is invalidated (a new
+// version) or, for one-shot graphs, when the run ends.
+//
 // With Config::devices == 1 every query takes the single-device path on
 // slot 0 through the same Engine::run a backend-less QueryService calls —
 // counts, picks and KernelStats are bit-identical to the legacy path.
@@ -60,21 +66,16 @@ class Fleet : public serve::ExecutionBackend {
     /// Per-device image budget; 0 = framework::device_budget_bytes(spec).
     std::uint64_t device_capacity_bytes = 0;
     /// Hosts the devices spread over (contiguous blocks of devices / hosts;
-    /// must divide devices). 1 = flat single-host fleet, bit-identical to
-    /// the pre-cluster behavior; > 1 prices placements on the two-level
-    /// model (`interconnect` within a host, `inter` between) and runs
-    /// cross-host shards through the cluster-aware MultiDeviceRunner.
+    /// must divide devices): `interconnect` links devices within a host,
+    /// `inter` links hosts.
     std::uint32_t hosts = 1;
     simt::InterconnectSpec inter = simt::InterconnectSpec::ib_edr();
-    /// Opt-in load-aware placement: fold each slot's queued busy_ms into
-    /// decide() (see Placer). Off by default — placements stay a pure
-    /// function of (stats, config) and the placement table stays pinnable.
-    bool load_aware = false;
   };
 
   /// Borrows the engine (it must outlive the fleet). The placement cost
   /// model runs on the fleet's own Selector instance over the engine's spec
   /// — placement must not wobble with the service's online refinement.
+  /// Throws std::invalid_argument when hosts does not divide devices.
   Fleet(framework::Engine& engine, Config cfg);
 
   serve::ExecutionOutcome execute(const serve::ExecutionRequest& req) override;
@@ -89,6 +90,8 @@ class Fleet : public serve::ExecutionBackend {
   std::vector<DeviceSlot> slots() const;
 
   FleetCounters counters() const;
+  /// Graphs with pooled shard images, per shard width.
+  std::map<std::uint32_t, std::size_t> pooled_shard_sets() const;
   CacheCounters cache_counters() const { return cache_.counters(); }
   const Config& config() const { return cfg_; }
 
@@ -101,6 +104,7 @@ class Fleet : public serve::ExecutionBackend {
 
   framework::Engine& engine_;
   Config cfg_;
+  simt::ClusterSpec cluster_;  ///< built from cfg_ once
   serve::Selector selector_;  ///< placement scoring only (no refinement)
   Placer placer_;
   ResultCache cache_;

@@ -1,5 +1,6 @@
 #include "simt/gpu_spec.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -67,6 +68,17 @@ InterconnectSpec interconnect_spec_from_string(const std::string& name) {
 }
 
 std::string valid_interconnect_list() { return "nvlink, pcie3, eth10g, ib-edr"; }
+
+std::optional<ClusterSpec> ClusterSpec::slice(std::uint32_t width) const {
+  for (std::uint32_t h = 1; h <= std::min(hosts, width); ++h) {
+    if (width % h != 0 || width / h > host.devices) continue;
+    ClusterSpec c = *this;
+    c.hosts = h;
+    c.host.devices = width / h;
+    return c;
+  }
+  return std::nullopt;
+}
 
 ClusterSpec ClusterSpec::single_host(std::uint32_t devices, InterconnectSpec link) {
   ClusterSpec c;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace tcgpu::simt {
@@ -74,17 +75,19 @@ struct GpuSpec {
 };
 
 /// Inter-device link model for multi-GPU execution (src/dist/). Transfers
-/// are counted in bytes and messages by the Interconnect cost model and
-/// converted to milliseconds here, the same counted-quantity philosophy as
-/// the kernel cost model above.
+/// are counted in bytes and messages by simt::Interconnect and converted to
+/// milliseconds here, the same counted-quantity philosophy as the kernel
+/// cost model above.
 struct InterconnectSpec {
   std::string name = "nvlink";
   double peer_bandwidth_gbps = 25.0;  ///< per peer pair, per direction
   double latency_us = 1.9;            ///< fixed cost per message
 
-  /// Milliseconds to move `bytes` between one device pair as one message.
-  double transfer_ms(std::uint64_t bytes) const {
-    return latency_us * 1e-3 +
+  /// Milliseconds to move `bytes` between one device pair as `messages`
+  /// serialized messages: every message pays the latency, the bytes pay the
+  /// bandwidth once.
+  double transfer_ms(std::uint64_t bytes, std::uint64_t messages = 1) const {
+    return static_cast<double>(messages) * latency_us * 1e-3 +
            static_cast<double>(bytes) / (peer_bandwidth_gbps * 1e9) * 1e3;
   }
 
@@ -126,8 +129,13 @@ struct ClusterSpec {
 
   std::uint32_t num_devices() const { return hosts * host.devices; }
 
-  /// One host, `devices` GPUs on `link` — the degenerate topology every
-  /// pre-cluster code path models.
+  /// The cluster a `width`-device shard set occupies: the fewest hosts h
+  /// (h <= hosts) that split it evenly with width / h <= host.devices,
+  /// filled in contiguous blocks, on the same links. std::nullopt when no
+  /// such layout exists (or width == 0) — that width cannot run here.
+  std::optional<ClusterSpec> slice(std::uint32_t width) const;
+
+  /// One host, `devices` GPUs on `link`.
   static ClusterSpec single_host(
       std::uint32_t devices,
       InterconnectSpec link = InterconnectSpec::nvlink());

@@ -2,43 +2,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace tcgpu::simt {
-
-TransferStats Interconnect::scatter(
-    const std::vector<std::uint64_t>& per_device_bytes,
-    const std::vector<std::uint64_t>& per_device_messages) const {
-  if (per_device_bytes.size() != num_devices_ ||
-      per_device_messages.size() != num_devices_) {
-    throw std::invalid_argument("Interconnect::scatter: per-device vectors must "
-                                "have one entry per device");
-  }
-  TransferStats t;
-  for (std::uint32_t d = 0; d < num_devices_; ++d) {
-    t.bytes += per_device_bytes[d];
-    t.messages += per_device_messages[d];
-    // Device d serializes its incoming messages; devices receive in parallel.
-    const double recv_ms =
-        static_cast<double>(per_device_messages[d]) * spec_.latency_us * 1e-3 +
-        static_cast<double>(per_device_bytes[d]) /
-            (spec_.peer_bandwidth_gbps * 1e9) * 1e3;
-    t.time_ms = std::max(t.time_ms, recv_ms);
-  }
-  return t;
-}
-
-TransferStats Interconnect::all_reduce(std::uint64_t bytes_per_device) const {
-  TransferStats t;
-  if (num_devices_ <= 1) return t;  // nothing to exchange
-  // Binomial reduce tree then broadcast tree: N-1 payload moves each way,
-  // ceil(log2 N) latency-bound steps each way on the critical path.
-  std::uint32_t steps = 0;
-  for (std::uint32_t span = 1; span < num_devices_; span <<= 1) ++steps;
-  t.bytes = 2ull * (num_devices_ - 1) * bytes_per_device;
-  t.messages = 2ull * (num_devices_ - 1);
-  t.time_ms = 2.0 * steps * spec_.transfer_ms(bytes_per_device);
-  return t;
-}
 
 namespace {
 
@@ -50,51 +16,43 @@ std::uint32_t tree_steps(std::uint32_t nodes) {
 
 }  // namespace
 
-ClusterInterconnect::ClusterInterconnect(ClusterSpec spec,
-                                         std::uint32_t num_devices)
-    : spec_(std::move(spec)), num_devices_(num_devices) {
+Interconnect::Interconnect(ClusterSpec spec) : spec_(std::move(spec)) {
   if (spec_.hosts == 0 || spec_.host.devices == 0) {
     throw std::invalid_argument(
-        "ClusterInterconnect: cluster must have >= 1 host with >= 1 device");
-  }
-  if (num_devices_ != spec_.num_devices()) {
-    throw std::invalid_argument(
-        "ClusterInterconnect: num_devices must equal hosts x devices-per-host");
+        "Interconnect: cluster must have >= 1 host with >= 1 device");
   }
 }
 
-ScatterModel ClusterInterconnect::scatter(
+ScatterModel Interconnect::scatter(
     const std::vector<std::vector<std::uint64_t>>& bytes,
     const std::vector<std::vector<std::uint64_t>>& rows, bool aggregate,
     std::uint64_t buffer_bytes) const {
-  if (bytes.size() != num_devices_ || rows.size() != num_devices_) {
+  const std::uint32_t n = num_devices();
+  if (bytes.size() != n || rows.size() != n) {
     throw std::invalid_argument(
-        "ClusterInterconnect::scatter: traffic matrices must have one row per "
+        "Interconnect::scatter: traffic matrices must have one row per "
         "device");
   }
   if (buffer_bytes == 0) {
     throw std::invalid_argument(
-        "ClusterInterconnect::scatter: buffer_bytes must be >= 1");
+        "Interconnect::scatter: buffer_bytes must be >= 1");
   }
   ScatterModel m;
-  m.per_device_ms.assign(num_devices_, 0.0);
-  for (std::uint32_t d = 0; d < num_devices_; ++d) {
-    if (bytes[d].size() != num_devices_ || rows[d].size() != num_devices_) {
+  m.per_device_ms.assign(n, 0.0);
+  for (std::uint32_t d = 0; d < n; ++d) {
+    if (bytes[d].size() != n || rows[d].size() != n) {
       throw std::invalid_argument(
-          "ClusterInterconnect::scatter: traffic matrices must be N x N");
+          "Interconnect::scatter: traffic matrices must be N x N");
     }
     double intra_ms = 0.0, inter_ms = 0.0;
-    for (std::uint32_t o = 0; o < num_devices_; ++o) {
+    for (std::uint32_t o = 0; o < n; ++o) {
       if (o == d) continue;
       const std::uint64_t b = bytes[d][o];
       const std::uint64_t msgs =
           aggregate ? (b == 0 ? 0 : (b + buffer_bytes - 1) / buffer_bytes)
                     : rows[d][o];
       if (b == 0 && msgs == 0) continue;
-      const InterconnectSpec& l = link(d, o);
-      const double ms =
-          static_cast<double>(msgs) * l.latency_us * 1e-3 +
-          static_cast<double>(b) / (l.peer_bandwidth_gbps * 1e9) * 1e3;
+      const double ms = link(d, o).transfer_ms(b, msgs);
       TransferStats& level = same_host(d, o) ? m.intra : m.inter;
       level.bytes += b;
       level.messages += msgs;
@@ -111,10 +69,9 @@ ScatterModel ClusterInterconnect::scatter(
   return m;
 }
 
-TransferStats ClusterInterconnect::all_reduce(
-    std::uint64_t bytes_per_device) const {
+TransferStats Interconnect::all_reduce(std::uint64_t bytes_per_device) const {
   TransferStats t;
-  if (num_devices_ <= 1) return t;  // nothing to exchange
+  if (num_devices() <= 1) return t;  // nothing to exchange
   const std::uint32_t per_host = spec_.host.devices;
   const std::uint32_t hosts = spec_.hosts;
   // Reduce tree up + broadcast tree down within every host (hosts run in

@@ -1,16 +1,17 @@
-// Modeled multi-GPU interconnect (NVLink / PCIe).
+// Modeled multi-GPU interconnect: NVLink / PCIe within a host, a network
+// between hosts.
 //
 // The single-device simulator derives kernel time from counted events; the
 // interconnect does the same for inter-device traffic: the dist:: layer
-// counts the bytes each shard has to receive (its ghost/proxy adjacency
-// rows) and the bytes of the final count reduction, and this model converts
-// those counts into transfer time under a latency + bandwidth link model.
-// Nothing is sampled or measured — scaling curves come from counted
-// quantities exactly like the kernel metrics.
+// counts the bytes each shard has to receive from each peer (its ghost/proxy
+// adjacency rows) and the bytes of the final count reduction, and this model
+// converts those counts into transfer time under a latency + bandwidth link
+// model (InterconnectSpec::transfer_ms). Nothing is sampled or measured —
+// scaling curves come from counted quantities exactly like the kernel
+// metrics. A single host is the one-host ClusterSpec, not a separate model.
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "simt/gpu_spec.hpp"
@@ -33,40 +34,14 @@ struct TransferStats {
   bool operator==(const TransferStats&) const = default;
 };
 
-class Interconnect {
- public:
-  Interconnect(InterconnectSpec spec, std::uint32_t num_devices)
-      : spec_(std::move(spec)), num_devices_(num_devices) {}
-
-  const InterconnectSpec& spec() const { return spec_; }
-  std::uint32_t num_devices() const { return num_devices_; }
-
-  /// Shard/ghost distribution: per_device_bytes[d] is what device d must
-  /// receive from peers, split into per_device_messages[d] point-to-point
-  /// messages (one per source peer). Devices receive in parallel, each
-  /// serializing its own incoming messages, so the modeled time is the
-  /// slowest device's receive time.
-  TransferStats scatter(const std::vector<std::uint64_t>& per_device_bytes,
-                        const std::vector<std::uint64_t>& per_device_messages) const;
-
-  /// All-reduce of one `bytes_per_device` payload (the per-device triangle
-  /// counts): modeled as a reduce + broadcast binomial tree, 2*ceil(log2 N)
-  /// latency-bound steps moving 2*(N-1) payloads in total.
-  TransferStats all_reduce(std::uint64_t bytes_per_device) const;
-
- private:
-  InterconnectSpec spec_;
-  std::uint32_t num_devices_;
-};
-
-/// Default flush-buffer bound for aggregated ghost scatters: per-destination
+/// Flush-buffer bound for aggregated ghost scatters: per-destination
 /// updates coalesce into buffers of this size and flush one message per full
 /// buffer (the Galois buffered-message discipline). 4 MiB keeps the modeled
 /// message count per peer pair at ceil(bytes / 4 MiB) instead of one per
 /// ghost row.
 inline constexpr std::uint64_t kFlushBufferBytes = 4ull << 20;
 
-/// One modeled cluster scatter, split by link level. `total.time_ms` is the
+/// One modeled scatter, split by link level. `total.time_ms` is the
 /// critical path (slowest device's receive, intra + inter serialized);
 /// `intra`/`inter` class the same traffic by which link carried it, each
 /// timed as the slowest device's share of that level. `per_device_ms[d]` is
@@ -81,17 +56,15 @@ struct ScatterModel {
 
 /// Two-level interconnect: `spec.host.intra` between devices of one host,
 /// `spec.inter` between hosts. Device d lives on host d / spec.host.devices.
-/// Where the flat Interconnect prices a scatter from per-device aggregates,
-/// this one needs the per-pair traffic matrix — which bytes cross a host
-/// boundary decides which link model prices them.
-class ClusterInterconnect {
+/// A scatter is priced from the per-pair traffic matrix — which bytes cross
+/// a host boundary decides which link model prices them.
+class Interconnect {
  public:
-  /// Throws std::invalid_argument when the spec describes zero devices or
-  /// num_devices is not hosts x devices-per-host.
-  ClusterInterconnect(ClusterSpec spec, std::uint32_t num_devices);
+  /// Throws std::invalid_argument when the spec describes zero devices.
+  explicit Interconnect(ClusterSpec spec);
 
   const ClusterSpec& spec() const { return spec_; }
-  std::uint32_t num_devices() const { return num_devices_; }
+  std::uint32_t num_devices() const { return spec_.num_devices(); }
   std::uint32_t host_of(std::uint32_t device) const {
     return device / spec_.host.devices;
   }
@@ -118,12 +91,12 @@ class ClusterInterconnect {
   /// Hierarchical all-reduce of one per-device payload: binomial reduce tree
   /// within each host on the intra link, one recursive-doubling exchange
   /// among the host leaders on the inter link, then an intra broadcast tree.
-  /// Degenerates to Interconnect::all_reduce exactly when hosts == 1.
+  /// On one host: 2*ceil(log2 N) latency-bound steps moving 2*(N-1)
+  /// payloads.
   TransferStats all_reduce(std::uint64_t bytes_per_device) const;
 
  private:
   ClusterSpec spec_;
-  std::uint32_t num_devices_;
 };
 
 }  // namespace tcgpu::simt

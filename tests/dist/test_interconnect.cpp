@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace tcgpu::simt {
@@ -31,47 +32,63 @@ TEST(InterconnectSpec, TransferTimeIsLatencyPlusBandwidthTerm) {
   EXPECT_DOUBLE_EQ(s.transfer_ms(0), 0.005);
 }
 
+using Matrix = std::vector<std::vector<std::uint64_t>>;
+
+Matrix square(std::uint32_t n) { return Matrix(n, std::vector<std::uint64_t>(n)); }
+
+/// One host of `n` devices on a hand-checkable link: 1 GB/s (one byte is
+/// 1e-6 ms) and 1 us per message (1e-3 ms).
+Interconnect one_host(std::uint32_t n) {
+  return Interconnect(
+      ClusterSpec::single_host(n, InterconnectSpec{"test", 1.0, 1.0}));
+}
+
 TEST(Interconnect, ScatterSumsTrafficAndTakesSlowestDevice) {
-  InterconnectSpec s;
-  s.peer_bandwidth_gbps = 1.0;  // 1 GB/s => 1 byte = 1e-6 ms
-  s.latency_us = 1.0;           // 1 message = 1e-3 ms
-  const Interconnect net(s, 3);
-  const TransferStats t = net.scatter({1'000'000, 2'000'000, 0}, {1, 2, 0});
-  EXPECT_EQ(t.bytes, 3'000'000u);
-  EXPECT_EQ(t.messages, 3u);
-  // Device 1 is slowest: 2 messages (0.002 ms) + 2 MB (2 ms).
-  EXPECT_DOUBLE_EQ(t.time_ms, 2.002);
+  const Interconnect net = one_host(3);
+  // Device 0 receives 1 MB from device 1; device 1 receives 1 MB from each
+  // of devices 0 and 2; device 2 receives nothing. One ghost row per pair.
+  Matrix bytes = square(3), rows = square(3);
+  bytes[0][1] = bytes[1][0] = bytes[1][2] = 1'000'000;
+  rows[0][1] = rows[1][0] = rows[1][2] = 1;
+  // 1 MB fits one flush buffer, so both disciplines send one message a pair.
+  for (const bool aggregate : {false, true}) {
+    const ScatterModel m = net.scatter(bytes, rows, aggregate);
+    EXPECT_EQ(m.total.bytes, 3'000'000u) << aggregate;
+    EXPECT_EQ(m.total.messages, 3u) << aggregate;
+    // Device 1 is slowest: 2 messages (0.002 ms) + 2 MB (2 ms).
+    EXPECT_DOUBLE_EQ(m.total.time_ms, 2.002) << aggregate;
+    EXPECT_DOUBLE_EQ(m.per_device_ms[0], 1.001) << aggregate;
+    EXPECT_DOUBLE_EQ(m.per_device_ms[2], 0.0) << aggregate;
+    // One host: everything rides the intra link.
+    EXPECT_EQ(m.intra, m.total) << aggregate;
+    EXPECT_EQ(m.inter, TransferStats{}) << aggregate;
+  }
 }
 
 TEST(Interconnect, ScatterRejectsWrongSizedVectors) {
-  const Interconnect net(InterconnectSpec::nvlink(), 4);
-  EXPECT_THROW(net.scatter({1, 2, 3}, {1, 1, 1, 1}), std::invalid_argument);
-  EXPECT_THROW(net.scatter({1, 2, 3, 4}, {1}), std::invalid_argument);
+  const Interconnect net = one_host(4);
+  EXPECT_THROW(net.scatter(square(3), square(4), true), std::invalid_argument);
+  EXPECT_THROW(net.scatter(square(4), square(3), false), std::invalid_argument);
+  EXPECT_THROW(net.scatter(Matrix(4, std::vector<std::uint64_t>(3)), square(4),
+                           true),
+               std::invalid_argument);
 }
 
 TEST(Interconnect, AllReduceIsFreeOnOneDevice) {
-  const Interconnect net(InterconnectSpec::nvlink(), 1);
-  EXPECT_EQ(net.all_reduce(8), TransferStats{});
+  EXPECT_EQ(one_host(1).all_reduce(8), TransferStats{});
 }
 
 TEST(Interconnect, AllReduceModelsBinomialTree) {
-  InterconnectSpec s;
-  s.peer_bandwidth_gbps = 1.0;
-  s.latency_us = 1.0;
-  // N = 4: reduce + broadcast move 2*(N-1) payloads; critical path is
-  // 2*ceil(log2 4) = 4 steps of one payload each.
-  const Interconnect net4(s, 4);
-  const TransferStats t4 = net4.all_reduce(1000);
-  EXPECT_EQ(t4.bytes, 6000u);
-  EXPECT_EQ(t4.messages, 6u);
-  EXPECT_DOUBLE_EQ(t4.time_ms, 4 * (1e-3 + 1000 * 1e-6));
-
-  // N = 8 adds one more level: 6 steps, 14 payload moves.
-  const Interconnect net8(s, 8);
-  const TransferStats t8 = net8.all_reduce(1000);
-  EXPECT_EQ(t8.bytes, 14'000u);
-  EXPECT_EQ(t8.messages, 14u);
-  EXPECT_DOUBLE_EQ(t8.time_ms, 6 * (1e-3 + 1000 * 1e-6));
+  // One host of N: reduce + broadcast move 2*(N-1) payloads; the critical
+  // path is 2*ceil(log2 N) steps of one payload each.
+  const double step_ms = 1e-3 + 1000 * 1e-6;
+  const std::pair<std::uint32_t, std::uint32_t> cases[] = {{2, 1}, {4, 2}, {8, 3}};
+  for (const auto& [n, steps] : cases) {
+    const TransferStats t = one_host(n).all_reduce(1000);
+    EXPECT_EQ(t.bytes, 2ull * (n - 1) * 1000) << n;
+    EXPECT_EQ(t.messages, 2ull * (n - 1)) << n;
+    EXPECT_DOUBLE_EQ(t.time_ms, 2 * steps * step_ms) << n;
+  }
 }
 
 TEST(TransferStats, AccumulatesSequentialStages) {
@@ -126,17 +143,41 @@ TEST(ClusterSpec, PresetsDescribeHostsTimesDevices) {
   EXPECT_EQ(ib.inter.name, "ib-edr");
 }
 
+TEST(ClusterSpec, SliceLaysWidthsOnTheFewestEvenHosts) {
+  const auto cluster = ClusterSpec::ethernet(2, 3);
+  const auto expect_layout = [&](std::uint32_t width, std::uint32_t hosts,
+                                 std::uint32_t per_host) {
+    const auto s = cluster.slice(width);
+    ASSERT_TRUE(s.has_value()) << width;
+    EXPECT_EQ(s->hosts, hosts) << width;
+    EXPECT_EQ(s->host.devices, per_host) << width;
+    EXPECT_EQ(s->host.intra.name, "nvlink") << width;
+    EXPECT_EQ(s->inter.name, "eth10g") << width;
+  };
+  expect_layout(1, 1, 1);
+  expect_layout(2, 1, 2);
+  expect_layout(3, 1, 3);
+  expect_layout(4, 2, 2);  // 3 + 1 is not even: two hosts of two
+  expect_layout(6, 2, 3);
+  EXPECT_FALSE(cluster.slice(0).has_value());
+  EXPECT_FALSE(cluster.slice(5).has_value());  // no even split over <= 2
+  EXPECT_FALSE(cluster.slice(8).has_value());  // more devices than exist
+  // 3 x 3: eight shards would need 4 per host on 2 hosts, or 4 hosts.
+  EXPECT_FALSE(ClusterSpec::ethernet(3, 3).slice(8).has_value());
+}
+
 TEST(ClusterInterconnect, ValidatesShapeAndDeviceCount) {
-  const ClusterSpec one_device;  // single-host default: 1x1
-  EXPECT_THROW(ClusterInterconnect(one_device, 2), std::invalid_argument);
   ClusterSpec zero = ClusterSpec::ethernet(2, 2);
   zero.host.devices = 0;
-  EXPECT_THROW(ClusterInterconnect(zero, 0), std::invalid_argument);
-  EXPECT_NO_THROW(ClusterInterconnect(ClusterSpec::ethernet(2, 2), 4));
+  EXPECT_THROW(Interconnect{zero}, std::invalid_argument);
+  zero = ClusterSpec::ethernet(2, 2);
+  zero.hosts = 0;
+  EXPECT_THROW(Interconnect{zero}, std::invalid_argument);
+  EXPECT_EQ(Interconnect(ClusterSpec::ethernet(2, 2)).num_devices(), 4u);
 }
 
 TEST(ClusterInterconnect, MapsDevicesToContiguousHostBlocks) {
-  const ClusterInterconnect net(ClusterSpec::ethernet(2, 3), 6);
+  const Interconnect net(ClusterSpec::ethernet(2, 3));
   EXPECT_EQ(net.host_of(0), 0u);
   EXPECT_EQ(net.host_of(2), 0u);
   EXPECT_EQ(net.host_of(3), 1u);
@@ -155,7 +196,7 @@ TEST(ClusterInterconnect, ScatterPricesEachPairOnItsLinkLevel) {
   cs.host.devices = 2;
   cs.host.intra = InterconnectSpec{"intra", 1.0, 1.0};
   cs.inter = InterconnectSpec{"inter", 0.1, 10.0};
-  const ClusterInterconnect net(cs, 4);
+  const Interconnect net(cs);
 
   // Device 0 receives 1000 bytes / 2 rows from device 1 (same host) and
   // 4000 bytes / 4 rows from device 2 (other host); nothing else moves.
@@ -197,7 +238,7 @@ TEST(ClusterInterconnect, ScatterPricesEachPairOnItsLinkLevel) {
 }
 
 TEST(ClusterInterconnect, ScatterValidatesMatricesAndBuffer) {
-  const ClusterInterconnect net(ClusterSpec::ethernet(2, 2), 4);
+  const Interconnect net(ClusterSpec::ethernet(2, 2));
   const std::vector<std::vector<std::uint64_t>> square(
       4, std::vector<std::uint64_t>(4));
   EXPECT_THROW(net.scatter({{0}}, square, true), std::invalid_argument);
@@ -206,23 +247,13 @@ TEST(ClusterInterconnect, ScatterValidatesMatricesAndBuffer) {
                std::invalid_argument);
 }
 
-TEST(ClusterInterconnect, SingleHostAllReduceMatchesFlatModel) {
-  // hosts == 1 must reproduce the flat Interconnect's binomial tree exactly
-  // — the dist runner's single-host bit-identity rests on this degeneracy.
-  for (const std::uint32_t n : {2u, 4u, 8u}) {
-    const Interconnect flat(InterconnectSpec::nvlink(), n);
-    const ClusterInterconnect cluster(ClusterSpec::single_host(n), n);
-    EXPECT_EQ(cluster.all_reduce(8), flat.all_reduce(8)) << n;
-  }
-}
-
 TEST(ClusterInterconnect, HierarchicalAllReduceAddsOneLeaderExchange) {
   ClusterSpec cs;
   cs.hosts = 4;
   cs.host.devices = 4;
   cs.host.intra = InterconnectSpec{"intra", 1.0, 1.0};
   cs.inter = InterconnectSpec{"inter", 0.1, 10.0};
-  const ClusterInterconnect net(cs, 16);
+  const Interconnect net(cs);
   const TransferStats t = net.all_reduce(1000);
   // Intra: per host 2*(4-1) payloads, 4 hosts in parallel, 2*log2(4) steps.
   // Inter: recursive doubling among 4 leaders = log2(4) steps, each host

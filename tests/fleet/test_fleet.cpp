@@ -152,7 +152,7 @@ TEST(FleetPlacement, TinyKernelsStaySingle) {
   EXPECT_EQ(reply.placement, "single");
 }
 
-// --- Placer: load-aware scoring and cluster pricing --------------------------
+// --- Placer: cluster pricing ------------------------------------------------
 
 /// Stats dense enough that sharding models as a clear win on a free link
 /// (the shape of Web-BerkStan at the default cap).
@@ -167,62 +167,32 @@ graph::GraphStats dense_stats() {
   return s;
 }
 
-/// A placer config where every width is admissible: free link, no bars.
-Placer::Config open_placer(std::uint32_t devices) {
+/// A placer config where every width is admissible: free links, no bars,
+/// `hosts` x `per_host` devices.
+Placer::Config open_placer(std::uint32_t hosts, std::uint32_t per_host) {
   Placer::Config pc;
-  pc.devices = devices;
+  pc.cluster = simt::ClusterSpec::single_host(per_host, free_link());
+  pc.cluster.hosts = hosts;
+  pc.cluster.inter = free_link();
   pc.shard_min_kernel_ms = 0.0;
   pc.min_speedup = 1.0;
-  pc.interconnect = free_link();
   return pc;
 }
 
 TEST(PlacerConfigTest, HostsMustDivideDevices) {
   serve::Selector sel;
   Placer::Config pc;
-  pc.devices = 4;
-  pc.hosts = 3;
+  pc.cluster.hosts = 0;
   EXPECT_THROW(Placer(sel, pc), std::invalid_argument);
-  pc.hosts = 0;
-  EXPECT_THROW(Placer(sel, pc), std::invalid_argument);
-  pc.hosts = 2;
-  EXPECT_NO_THROW(Placer(sel, pc));
-}
-
-TEST(PlacerLoad, IdleFleetReproducesThePureDecision) {
-  // The load-aware overload with no queued work is the determinism-contract
-  // decide(): same placement, same modeled cost, bit for bit.
-  serve::Selector sel;
-  Placer placer(sel, open_placer(8));
-  const auto ranked = sel.score(dense_stats());
-  const auto& best = ranked.front();
-  const Placement pure = placer.decide(best.algorithm, best.cost, dense_stats());
-  const Placement zeros = placer.decide(best.algorithm, best.cost,
-                                        dense_stats(),
-                                        std::vector<double>(8, 0.0));
-  EXPECT_TRUE(pure.sharded);  // free link, no bars: going wide always models
-  EXPECT_EQ(pure.describe(), zeros.describe());
-  EXPECT_EQ(pure.shards, zeros.shards);
-  EXPECT_DOUBLE_EQ(pure.cost.total_ms, zeros.cost.total_ms);
-}
-
-TEST(PlacerLoad, SkewedQueuesPullThePlacementOntoIdleDevices) {
-  // Seven devices buried under queued work, one idle: a width-k shard waits
-  // for the k-th least-busy device, so every sharded width pays the mountain
-  // and the single-device placement (idle device, zero wait) wins — the
-  // decision the pure function would never make here.
-  serve::Selector sel;
-  Placer placer(sel, open_placer(8));
-  const auto ranked = sel.score(dense_stats());
-  const auto& best = ranked.front();
-  std::vector<double> busy(8, 1e9);
-  busy[0] = 0.0;
-  const Placement loaded =
-      placer.decide(best.algorithm, best.cost, dense_stats(), busy);
-  EXPECT_FALSE(loaded.sharded);
-  EXPECT_EQ(loaded.describe(), "single");
-  // Admissibility stayed load-free: the same call on an idle fleet shards.
-  EXPECT_TRUE(placer.decide(best.algorithm, best.cost, dense_stats()).sharded);
+  // The fleet builds its cluster from a device and a host count, and
+  // rejects counts that do not split evenly.
+  framework::Engine engine(small_engine());
+  Fleet::Config fc;
+  fc.devices = 4;
+  fc.hosts = 3;
+  EXPECT_THROW(Fleet(engine, fc), std::invalid_argument);
+  fc.hosts = 2;
+  EXPECT_NO_THROW(Fleet(engine, fc));
 }
 
 TEST(PlacerCluster, SlowInterHostLinkKeepsPlacementsWithinAHost) {
@@ -230,19 +200,18 @@ TEST(PlacerCluster, SlowInterHostLinkKeepsPlacementsWithinAHost) {
   const auto ranked = sel.score(dense_stats());
   const auto& best = ranked.front();
 
-  Placer flat_placer(sel, open_placer(8));
+  Placer flat_placer(sel, open_placer(1, 8));
   const Placement flat = flat_placer.decide(best.algorithm, best.cost,
                                             dense_stats());
-  EXPECT_EQ(flat.shards, 8u);  // free flat link: widest width wins
+  EXPECT_EQ(flat.shards, 8u);  // free link on one host: widest width wins
 
   // Same fleet split 2 x 4 behind a dreadful network: widths that fit one
   // host still price on the free intra link, width 8 pays the inter link —
   // the placer stops at the host boundary.
-  Placer::Config cc = open_placer(8);
-  cc.hosts = 2;
-  cc.inter.name = "test-molasses";
-  cc.inter.peer_bandwidth_gbps = 1e-6;
-  cc.inter.latency_us = 1e6;
+  Placer::Config cc = open_placer(2, 4);
+  cc.cluster.inter.name = "test-molasses";
+  cc.cluster.inter.peer_bandwidth_gbps = 1e-6;
+  cc.cluster.inter.latency_us = 1e6;
   Placer cluster_placer(sel, cc);
   const Placement within = cluster_placer.decide(best.algorithm, best.cost,
                                                  dense_stats());
@@ -256,10 +225,7 @@ TEST(PlacerCluster, FastInterLinkGoesWideAndLabelsTheHosts) {
   serve::Selector sel;
   const auto ranked = sel.score(dense_stats());
   const auto& best = ranked.front();
-  Placer::Config cc = open_placer(8);
-  cc.hosts = 2;
-  cc.inter = free_link();  // crossing hosts costs nothing
-  Placer placer(sel, cc);
+  Placer placer(sel, open_placer(2, 4));  // crossing hosts costs nothing
   const Placement wide = placer.decide(best.algorithm, best.cost,
                                        dense_stats());
   EXPECT_TRUE(wide.sharded);
@@ -268,9 +234,22 @@ TEST(PlacerCluster, FastInterLinkGoesWideAndLabelsTheHosts) {
   EXPECT_EQ(wide.describe(), "shard8:range:2h");
 }
 
-TEST(FleetPlacement, LoadAwareDefaultsOffAndOffTableIsLoadBlind) {
-  EXPECT_FALSE(Fleet::Config{}.load_aware);
-  // Load-blind fleets latch the same placement table no matter how much (or
+TEST(PlacerCluster, WidthWithoutAnEvenLayoutIsNoCandidate) {
+  // 3 hosts x 3 devices on free links: width 8 would model fastest, but it
+  // splits evenly over no host count that fits, so the fleet could not run
+  // it. The widest width with a layout — 4 as 2 + 2 — wins instead.
+  serve::Selector sel;
+  const auto ranked = sel.score(dense_stats());
+  const auto& best = ranked.front();
+  Placer placer(sel, open_placer(3, 3));
+  const Placement p = placer.decide(best.algorithm, best.cost, dense_stats());
+  EXPECT_EQ(p.shards, 4u);
+  EXPECT_EQ(p.cost.hosts, 2u);
+  EXPECT_EQ(p.describe(), "shard4:range:2h");
+}
+
+TEST(FleetPlacement, TableIsLoadBlind) {
+  // Fleets latch the same placement table no matter how much (or
   // how unevenly) traffic preceded each decision — the contract the CI
   // placement pins rely on. Run the same datasets through two fleets with
   // very different traffic histories and compare tables.
@@ -358,6 +337,60 @@ TEST(FleetCache, RepeatHitsSkipTheDeviceAndMutationInvalidates) {
   EXPECT_FALSE(after.cache_hit);
   EXPECT_EQ(after.version, committed.version);
   EXPECT_TRUE(after.valid);
+}
+
+// --- sharded images across versions -----------------------------------------
+
+TEST(FleetShards, VersionBumpsLeaveOneShardSetPerWidth) {
+  // Every read of a new version of a sharded dataset partitions a new graph.
+  // The old versions' shard images must go with their version, and a
+  // one-shot inline graph's with its run — not pile up in the runner pool.
+  framework::Engine engine(small_engine());
+  Fleet::Config fc;
+  fc.devices = 4;
+  fc.shard_min_kernel_ms = 0.0;
+  fc.min_speedup = 1.0;
+  fc.interconnect = free_link();
+  Fleet fleet(engine, fc);
+  serve::QueryService::Config sc;
+  sc.backend = &fleet;
+  serve::QueryService service(engine, sc);
+
+  const auto read = [&] {
+    const auto reply = service.submit(dataset_query("As-Caida")).get();
+    ASSERT_EQ(reply.status, serve::QueryStatus::kOk);
+    EXPECT_TRUE(reply.sharded);
+    EXPECT_TRUE(reply.valid);
+  };
+  const auto v = engine.prepare("As-Caida")->stats.num_vertices;
+  const std::vector<graph::Edge> batch = {{v, v + 1}, {v + 1, v + 2}, {v, v + 2}};
+  read();
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    auto insert = dataset_query("As-Caida");
+    insert.insert_edges = batch;
+    ASSERT_EQ(service.submit(std::move(insert)).get().status,
+              serve::QueryStatus::kOk);
+    read();
+    auto remove = dataset_query("As-Caida");
+    remove.remove_edges = batch;
+    ASSERT_EQ(service.submit(std::move(remove)).get().status,
+              serve::QueryStatus::kOk);
+    read();
+  }
+  EXPECT_EQ(service.dataset_version("As-Caida"), 6u);
+  EXPECT_EQ(fleet.counters().sharded_runs, 7u);
+  auto pooled = fleet.pooled_shard_sets();
+  ASSERT_FALSE(pooled.empty());
+  for (const auto& [width, sets] : pooled) EXPECT_LE(sets, 1u) << width;
+
+  serve::QueryRequest inline_query;
+  inline_query.edges.num_vertices = 6;
+  inline_query.edges.edges = {{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3},
+                              {3, 4}, {2, 4}, {4, 5}, {3, 5}};
+  const auto reply = service.submit(std::move(inline_query)).get();
+  ASSERT_EQ(reply.status, serve::QueryStatus::kOk);
+  EXPECT_TRUE(reply.sharded);
+  EXPECT_EQ(fleet.pooled_shard_sets(), pooled);
 }
 
 // --- device slots / capacity ------------------------------------------------

@@ -192,7 +192,7 @@ TEST(SelectorSharded, OneDeviceIsAPassthrough) {
   const auto& best = ranked.front();
   const auto pc = sel.sharded_cost(best.algorithm, best.cost, 1,
                                    large_stats(),
-                                   simt::InterconnectSpec::nvlink());
+                                   simt::ClusterSpec::single_host(8));
   EXPECT_EQ(pc.devices, 1u);
   EXPECT_DOUBLE_EQ(pc.total_ms, best.cost.modeled_ms);
   EXPECT_DOUBLE_EQ(pc.comm_ms, 0.0);
@@ -202,7 +202,7 @@ TEST(SelectorSharded, KernelShrinksCommGrowsWithWidth) {
   Selector sel;
   const auto ranked = sel.score(large_stats());
   const auto& best = ranked.front();
-  const auto net = simt::InterconnectSpec::nvlink();
+  const auto net = simt::ClusterSpec::single_host(8);
   double prev_kernel = best.cost.modeled_ms;
   for (std::uint32_t k : {2u, 4u, 8u}) {
     const auto pc =
@@ -220,24 +220,26 @@ TEST(SelectorSharded, SlowerLinksCostMore) {
   const auto& best = ranked.front();
   const auto nv = sel.sharded_cost(best.algorithm, best.cost, 4,
                                    large_stats(),
-                                   simt::InterconnectSpec::nvlink());
-  const auto pcie = sel.sharded_cost(best.algorithm, best.cost, 4,
-                                     large_stats(),
-                                     simt::InterconnectSpec::pcie3());
+                                   simt::ClusterSpec::single_host(4));
+  const auto pcie = sel.sharded_cost(
+      best.algorithm, best.cost, 4, large_stats(),
+      simt::ClusterSpec::single_host(4, simt::InterconnectSpec::pcie3()));
   EXPECT_GT(pcie.comm_ms, nv.comm_ms);
   EXPECT_DOUBLE_EQ(pcie.kernel_ms, nv.kernel_ms);  // the link moves only comm
 }
 
 TEST(SelectorShardedCluster, WidthFittingOneHostMatchesFlatPricing) {
-  // A shard set that never leaves its host pays only the intra link; the
-  // cluster overload must reproduce the flat overload field for field.
+  // A shard set that never leaves its host pays only the intra link: on a
+  // 2 x 4 cluster it must price exactly like a one-host cluster of that
+  // width, field for field.
   Selector sel;
   const auto ranked = sel.score(large_stats());
   const auto& best = ranked.front();
   const auto cluster = simt::ClusterSpec::ethernet(2, 4);
   for (std::uint32_t k : {1u, 2u, 4u}) {
-    const auto flat = sel.sharded_cost(best.algorithm, best.cost, k,
-                                       large_stats(), cluster.host.intra);
+    const auto flat =
+        sel.sharded_cost(best.algorithm, best.cost, k, large_stats(),
+                         simt::ClusterSpec::single_host(k, cluster.host.intra));
     const auto two = sel.sharded_cost(best.algorithm, best.cost, k,
                                       large_stats(), cluster);
     EXPECT_EQ(two.hosts, 1u) << k;
@@ -246,6 +248,25 @@ TEST(SelectorShardedCluster, WidthFittingOneHostMatchesFlatPricing) {
     EXPECT_DOUBLE_EQ(two.comm_ms, flat.comm_ms) << k;
     EXPECT_DOUBLE_EQ(two.total_ms, flat.total_ms) << k;
   }
+}
+
+TEST(SelectorShardedCluster, PricesAWidthOnTheLayoutItRunsOn) {
+  // Width 4 on 2 hosts x 3 devices cannot run 3 + 1 (a cluster splits its
+  // devices evenly over its hosts), so it runs — and must be priced — as
+  // 2 + 2: exactly the cost on a 2 x 2 cluster.
+  Selector sel;
+  const auto ranked = sel.score(large_stats());
+  const auto& best = ranked.front();
+  const auto six = sel.sharded_cost(best.algorithm, best.cost, 4,
+                                    large_stats(),
+                                    simt::ClusterSpec::ethernet(2, 3));
+  const auto four = sel.sharded_cost(best.algorithm, best.cost, 4,
+                                     large_stats(),
+                                     simt::ClusterSpec::ethernet(2, 2));
+  EXPECT_EQ(six.hosts, 2u);
+  EXPECT_DOUBLE_EQ(six.kernel_ms, four.kernel_ms);
+  EXPECT_DOUBLE_EQ(six.comm_ms, four.comm_ms);
+  EXPECT_DOUBLE_EQ(six.total_ms, four.total_ms);
 }
 
 TEST(SelectorShardedCluster, CrossingHostsCostsMoreThanStayingIntra) {
