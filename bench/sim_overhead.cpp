@@ -1,11 +1,11 @@
 // Simulator hot-path microbenchmark: events/sec and ns/access through the
-// full ThreadCtx -> LaneTrace -> WarpAggregator pipeline, on three synthetic
-// kernels chosen to pin the pipeline's three regimes:
+// full ThreadCtx -> WarpAggregator::record -> flush pipeline, on three
+// synthetic kernels whose input shapes cover the pipeline's regimes:
 //
-//   * converged    — every lane issues the identical site sequence (the
-//                    common case; exercises the flush fast path);
-//   * divergent    — per-lane trip counts differ (forces the counting-sort
-//                    path and occurrence alignment);
+//   * converged    — every lane issues the identical site sequence, so every
+//                    row is full and is charged in place;
+//   * divergent    — per-lane trip counts differ, so rows thin out and the
+//                    flush gathers partial rows (occurrence alignment);
 //   * atomic_heavy — global + shared atomics (serialization costs).
 //
 // Emits JSON so the perf trajectory is tracked across PRs; --check compares

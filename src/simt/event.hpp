@@ -1,21 +1,18 @@
-// Per-lane memory access events recorded during simulated kernel execution.
+// Metered memory access kinds recorded during simulated kernel execution.
 //
-// Every metered memory operation issued by a lane (global/shared,
-// load/store/atomic) appends one event to the lane's trace. After the 32
-// lanes of a warp finish a phase, the WarpAggregator aligns events across
-// lanes by (call site, occurrence index) — the simulator's model of a
-// warp-level instruction — and derives nvprof-style metrics from the groups.
+// Every metered memory operation a lane issues (global/shared,
+// load/store/atomic) is recorded once, through ThreadCtx, into the
+// WarpAggregator as (lane, address, call site, kind, size). The aggregator
+// bins it into its warp instruction on the spot — the lane's k-th access at
+// a call site joins every other lane's k-th access there — so no per-lane
+// event list is ever kept (see warp_trace.hpp).
 //
-// Storage is structure-of-arrays: a lane keeps one column of byte addresses
-// and one column of packed (site, kind, size) metadata words. The aggregator
-// owns the 32 lane traces and reuses their capacity across flushes, so the
-// steady-state record path is two bounds-checked appends and no allocation.
-// Keeping metadata in its own contiguous column is what makes the flush
-// fast path cheap: "all lanes issued the same site sequence" is a memcmp.
+// A call site has one access shape per aggregation unit: the aggregator
+// stores the kind and size once per site and rejects a second shape at the
+// same site with a std::logic_error naming the site id.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace tcgpu::simt {
 
@@ -27,54 +24,6 @@ enum class AccessKind : std::uint8_t {
   kSharedLoad = 3,
   kSharedStore = 4,
   kSharedAtomic = 5,
-};
-
-/// True for the three kinds that touch device global memory.
-constexpr bool is_global(AccessKind k) {
-  return k == AccessKind::kGlobalLoad || k == AccessKind::kGlobalStore ||
-         k == AccessKind::kGlobalAtomic;
-}
-
-/// Everything one lane did during one aggregation unit (one phase of one
-/// work item), as two parallel SoA columns plus a compute-step tally.
-/// Owned by the WarpAggregator; cleared (capacity kept) after every flush.
-struct LaneTrace {
-  std::vector<std::uint64_t> addr;  ///< byte address per event (device VA for
-                                    ///< global, arena offset for shared)
-  std::vector<std::uint64_t> meta;  ///< packed (site, kind, size) per event
-  std::uint64_t compute_steps = 0;  ///< pure-ALU work via ThreadCtx::compute()
-
-  /// Packs the non-address fields of one event into a single word:
-  /// bits [0,32) site id, [32,40) kind, [40,48) access size in bytes.
-  static constexpr std::uint64_t pack(std::uint32_t site, AccessKind kind,
-                                      std::uint8_t size) {
-    return static_cast<std::uint64_t>(site) |
-           (static_cast<std::uint64_t>(static_cast<std::uint8_t>(kind)) << 32) |
-           (static_cast<std::uint64_t>(size) << 40);
-  }
-  static constexpr std::uint32_t site_of(std::uint64_t m) {
-    return static_cast<std::uint32_t>(m);
-  }
-  static constexpr AccessKind kind_of(std::uint64_t m) {
-    return static_cast<AccessKind>(static_cast<std::uint8_t>(m >> 32));
-  }
-  static constexpr std::uint8_t size_of(std::uint64_t m) {
-    return static_cast<std::uint8_t>(m >> 40);
-  }
-
-  void push(std::uint64_t a, std::uint32_t site, AccessKind kind,
-            std::uint8_t size) {
-    addr.push_back(a);
-    meta.push_back(pack(site, kind, size));
-  }
-
-  std::size_t size() const { return addr.size(); }
-  void clear() {
-    addr.clear();
-    meta.clear();
-    compute_steps = 0;
-  }
-  bool empty() const { return addr.empty() && compute_steps == 0; }
 };
 
 }  // namespace tcgpu::simt

@@ -26,9 +26,14 @@
 //
 // Metering
 // --------
-// All global/shared accesses go through ThreadCtx and are recorded as lane
-// events; the WarpAggregator aligns them into warp instructions and derives
-// the nvprof-style metrics plus a modeled cycle cost. Kernel time is
+// All global/shared accesses go through ThreadCtx, which hands each one to
+// the host thread's WarpAggregator as (lane, address, site, kind, size). The
+// aggregator bins it into its warp instruction as it is recorded; at the end
+// of each phase of each warp (one aggregation unit) flush() charges those
+// instructions into the nvprof-style metrics plus a modeled cycle cost. The
+// launcher runs a warp's lanes 0..31 one after another, which is the
+// ascending-lane recording contract the aggregator's charge order relies on
+// (warp_trace.hpp). Kernel time is
 //     max(per-SM issue/memory cycles under round-robin block placement,
 //         device-wide bandwidth bound)  /  clock.
 #pragma once
@@ -82,12 +87,12 @@ class ThreadCtx {
   using SrcLoc = std::source_location;
 
   ThreadCtx(const GpuSpec& spec, const LaunchConfig& cfg, std::uint32_t block_id,
-            std::uint32_t thread_in_block, LaneTrace& trace, SharedArena& arena)
+            std::uint32_t thread_in_block, WarpAggregator& agg, SharedArena& arena)
       : spec_(&spec),
         cfg_(&cfg),
         block_id_(block_id),
         tid_(thread_in_block),
-        trace_(&trace),
+        agg_(&agg),
         arena_(&arena) {}
 
   // --- identity -----------------------------------------------------------
@@ -208,12 +213,12 @@ class ThreadCtx {
 
   // --- compute ------------------------------------------------------------
   /// Charges n pure-ALU warp-lane steps (hash mixing, reductions, ...).
-  void compute(std::uint64_t n = 1) { trace_->compute_steps += n; }
+  void compute(std::uint64_t n = 1) { agg_->add_compute(lane(), n); }
 
  private:
   void record(std::uint64_t addr, AccessKind kind, std::uint8_t size,
               Site site) {
-    trace_->push(addr, site.id(), kind, size);
+    agg_->record(lane(), addr, site.id(), kind, size);
   }
 
   template <class T>
@@ -233,7 +238,7 @@ class ThreadCtx {
   const LaunchConfig* cfg_;
   std::uint32_t block_id_;
   std::uint32_t tid_;
-  LaneTrace* trace_;
+  WarpAggregator* agg_;
   SharedArena* arena_;
 };
 
@@ -285,7 +290,7 @@ KernelStats launch_items(const GpuSpec& spec, LaunchConfig cfg, std::uint64_t nu
               for (std::uint32_t w = 0; w < warps_per_block; ++w) {
                 for (std::uint32_t l = 0; l < 32; ++l) {
                   const std::uint32_t tid = w * 32 + l;
-                  ThreadCtx ctx(spec, cfg, b, tid, agg.lane(l), arena);
+                  ThreadCtx ctx(spec, cfg, b, tid, agg, arena);
                   phase(ctx, st[tid], item);
                 }
                 cyc += agg.flush(local);
@@ -319,7 +324,7 @@ KernelStats launch_items(const GpuSpec& spec, LaunchConfig cfg, std::uint64_t nu
                 for (std::uint32_t l = 0; l < active_lanes; ++l) {
                   const std::uint64_t item = base_item + l / cfg.group_size;
                   const std::uint32_t tid = w * 32 + l;
-                  ThreadCtx ctx(spec, cfg, b, tid, agg.lane(l), arena);
+                  ThreadCtx ctx(spec, cfg, b, tid, agg, arena);
                   phase(ctx, st[tid], item);
                 }
                 cyc += agg.flush(local);

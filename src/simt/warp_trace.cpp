@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace tcgpu::simt {
 namespace {
@@ -150,21 +151,43 @@ std::uint32_t WarpAggregator::conflict_degree(const std::uint64_t* addrs,
 }
 
 WarpAggregator::WarpAggregator(const GpuSpec& spec)
-    : spec_(&spec), lanes_(spec.warp_size), cache_(spec.l1_cache_sectors) {
-  reset_cache();
-  // Reserve all scratch once, so steady-state flushes never allocate
-  // (the launcher constructs one aggregator per host thread per launch).
-  site_local_.reserve(64);
-  local_ids_.reserve(1024);
-  order_.reserve(1024);
-  slot_count_.reserve(64 * spec.warp_size + 1);
-  slot_cursor_.reserve(64 * spec.warp_size + 1);
-  sorted_addr_.reserve(1024);
-  sorted_meta_.reserve(1024);
-  for (auto& t : lanes_) {
-    t.addr.reserve(64);
-    t.meta.reserve(64);
+    : spec_(&spec), cache_(spec.l1_cache_sectors) {
+  if (spec.warp_size != kLanes) {
+    throw std::invalid_argument("WarpAggregator: warp_size must be 32");
   }
+  reset_cache();
+}
+
+void WarpAggregator::record_slow(std::uint32_t lane, std::uint64_t addr,
+                                 std::uint32_t site, std::uint16_t shape) {
+  if (site >= sites_.size()) sites_.resize(site + 1);
+  SiteRows& s = sites_[site];
+  if (s.shape == kClosed) {
+    s.shape = shape;
+    s.next.fill(0);
+    order_.push_back(site);
+  } else if (s.shape != shape) {
+    auto describe = [](std::uint16_t sh) {
+      return "kind " + std::to_string(sh & 0xFFu) + " size " +
+             std::to_string(sh >> 8);
+    };
+    throw std::logic_error(
+        "WarpAggregator: site " + std::to_string(site) + " recorded as " +
+        describe(s.shape) + " and as " + describe(shape) +
+        " in one unit; give each access shape its own call site");
+  }
+  const std::uint32_t k = s.next[lane]++;
+  if (k == s.cap) {
+    s.rows.emplace_back();
+    ++s.cap;
+  }
+  s.rows[k][lane] = addr;
+}
+
+bool WarpAggregator::empty() const {
+  return order_.empty() &&
+         std::all_of(compute_.begin(), compute_.end(),
+                     [](std::uint64_t c) { return c == 0; });
 }
 
 std::uint32_t WarpAggregator::cache_access(const std::uint64_t* sectors,
@@ -184,56 +207,35 @@ std::uint32_t WarpAggregator::cache_access(const std::uint64_t* sectors,
   return misses;
 }
 
-// The flush groups each lane's k-th access at a call site with every other
-// lane's k-th access there ("occurrence alignment" — see the header).
-//
-// Two paths produce bit-identical results:
-//   * fast path — when every lane issued the same (site, kind, size)
-//     sequence (the fully-converged common case, detected with one memcmp
-//     per lane), alignment degenerates to position alignment: group k is
-//     simply position k of every lane. Only lane 0's sequence is examined
-//     to derive the group order; no counting sort, no per-event scatter.
-//   * sorted path — one counting sort keyed by (site, lane), which
-//     preserves each lane's program order, so within a (site, lane) slice
-//     the events are already in occurrence order.
-// Both walk the groups in the same order — sites by first appearance,
-// occurrences ascending — so the stateful sector cache and the floating-
-// point cycle accumulator see the same sequence either way.
+// Rows are charged sites-by-first-appearance, occurrences ascending, each
+// group's addresses in ascending lane order. The stateful sector cache and
+// the floating-point cycle accumulator see exactly this sequence, so it is
+// part of every KernelStats value (tests/tc/test_stats_pinned.cpp).
 double WarpAggregator::flush(KernelMetrics& m) {
   const GpuSpec& spec = *spec_;
-  const std::uint32_t W = warp_size();
 
   std::uint64_t max_compute = 0;
   std::uint64_t sum_compute = 0;
-  std::size_t total_events = 0;
-  bool any = false;
-  bool uniform = true;
-  const std::size_t n0 = lanes_[0].size();
-  for (std::uint32_t l = 0; l < W; ++l) {
-    const LaneTrace& t = lanes_[l];
-    if (!t.empty()) any = true;
-    max_compute = std::max(max_compute, t.compute_steps);
-    sum_compute += t.compute_steps;
-    total_events += t.size();
-    uniform = uniform && t.size() == n0;
+  for (std::uint64_t& c : compute_) {
+    max_compute = std::max(max_compute, c);
+    sum_compute += c;
+    c = 0;
   }
-  if (!any) return 0.0;
+  if (order_.empty() && sum_compute == 0) return 0.0;
 
   std::uint64_t steps = max_compute;
   std::uint64_t active = sum_compute;
   double cycles = static_cast<double>(max_compute) * spec.issue_cycles;
 
-  std::array<std::uint64_t, 64> addrs;
   std::array<std::uint64_t, 64> sectors;
-  // Charges one aligned group of n accesses (addrs[0..n) filled in lane
-  // order). Shared by both paths so the cost arithmetic is literally the
-  // same code, keeping the modeled cycles bitwise equal.
-  auto charge = [&](std::uint32_t n, AccessKind kind, std::uint8_t size) {
+  // Charges one aligned group of n accesses (addrs[0..n) in lane order).
+  auto charge = [&](const std::uint64_t* addrs, std::uint32_t n, AccessKind kind,
+                    std::uint8_t size) {
     steps += 1;
     active += n;
     cycles += spec.issue_cycles;
     auto global_cost = [&]() {
-      const std::uint32_t tx = distinct_sectors(addrs.data(), size, n, sectors);
+      const std::uint32_t tx = distinct_sectors(addrs, size, n, sectors);
       const std::uint32_t misses = cache_access(sectors.data(), tx);
       m.global_dram_transactions += misses;
       cycles += misses * spec.global_cycles_per_transaction +
@@ -261,21 +263,21 @@ double WarpAggregator::flush(KernelMetrics& m) {
         break;
       }
       case AccessKind::kSharedLoad: {
-        const std::uint32_t deg = conflict_degree(addrs.data(), n);
+        const std::uint32_t deg = conflict_degree(addrs, n);
         m.shared_load_requests += 1;
         m.shared_conflict_cycles += deg - 1;
         cycles += deg * spec.shared_cycles_per_access;
         break;
       }
       case AccessKind::kSharedStore: {
-        const std::uint32_t deg = conflict_degree(addrs.data(), n);
+        const std::uint32_t deg = conflict_degree(addrs, n);
         m.shared_store_requests += 1;
         m.shared_conflict_cycles += deg - 1;
         cycles += deg * spec.shared_cycles_per_access;
         break;
       }
       case AccessKind::kSharedAtomic: {
-        const std::uint32_t deg = conflict_degree(addrs.data(), n);
+        const std::uint32_t deg = conflict_degree(addrs, n);
         m.shared_atomic_requests += 1;
         m.shared_conflict_cycles += deg - 1;
         cycles +=
@@ -285,143 +287,53 @@ double WarpAggregator::flush(KernelMetrics& m) {
     }
   };
 
-  // Dense local ids for the sites of this unit, in first-appearance order.
-  // O(1) per lookup: site_map_[site] holds (flush generation | local id), so
-  // starting a fresh unit is a generation bump, not a map clear.
-  auto begin_intern = [this] {
-    site_local_.clear();
-    if (++map_gen_ == 0) {  // stamp wrap: invalidate the slow way, once
-      std::fill(site_map_.begin(), site_map_.end(), 0);
-      map_gen_ = 1;
+  std::array<std::uint64_t, kLanes> gathered;
+  std::array<std::uint32_t, kLanes> act;  // lanes still holding row k
+  for (const std::uint32_t site : order_) {
+    SiteRows& s = sites_[site];
+    const auto kind = static_cast<AccessKind>(s.shape & 0xFFu);
+    const auto size = static_cast<std::uint8_t>(s.shape >> 8);
+    s.shape = kClosed;
+    const std::array<std::uint32_t, kLanes>& count = s.next;
+    std::uint32_t lanes = 0;  // lanes that recorded here
+    for (std::uint32_t l = 0; l < kLanes; ++l) {
+      lanes |= static_cast<std::uint32_t>(count[l] != 0) << l;
     }
-  };
-  auto local_of = [this](std::uint32_t site) -> std::uint32_t {
-    if (site >= site_map_.size()) site_map_.resize(site + 1, 0);
-    std::uint64_t& slot = site_map_[site];
-    if (static_cast<std::uint32_t>(slot >> 32) == map_gen_) {
-      return static_cast<std::uint32_t>(slot);
+    // Row k's lanes are the lanes whose count exceeds k. Rows [k, end)
+    // share one lane set: every active lane reaches row end - 1 and at
+    // least one stops there. Only while all 32 lanes are active is a row
+    // full, and then it is charged in place.
+    std::uint32_t k = 0;
+    std::uint32_t n = 0;
+    if (lanes == ~0u) {
+      std::uint32_t end = count[0];
+      for (std::uint32_t l = 1; l < kLanes; ++l) end = std::min(end, count[l]);
+      for (; k < end; ++k) charge(s.rows[k].data(), kLanes, kind, size);
+      for (std::uint32_t l = 0; l < kLanes; ++l) {
+        if (count[l] > end) act[n++] = l;
+      }
+    } else {
+      for (std::uint32_t b = lanes; b != 0; b &= b - 1) {
+        act[n++] = static_cast<std::uint32_t>(std::countr_zero(b));
+      }
     }
-    const auto local = static_cast<std::uint32_t>(site_local_.size());
-    site_local_.push_back(site);
-    slot = (static_cast<std::uint64_t>(map_gen_) << 32) | local;
-    return local;
-  };
-
-  bool converged = uniform && n0 > 0 && W <= addrs.size();
-  if (converged) {
-    const std::uint64_t* meta0 = lanes_[0].meta.data();
-    for (std::uint32_t l = 1; l < W && converged; ++l) {
-      converged = std::memcmp(lanes_[l].meta.data(), meta0,
-                              n0 * sizeof(std::uint64_t)) == 0;
+    while (n != 0) {
+      std::uint32_t end = count[act[0]];
+      for (std::uint32_t i = 1; i < n; ++i) end = std::min(end, count[act[i]]);
+      for (; k < end; ++k) {
+        const Row& row = s.rows[k];
+        for (std::uint32_t i = 0; i < n; ++i) gathered[i] = row[act[i]];
+        charge(gathered.data(), n, kind, size);
+      }
+      std::uint32_t keep = 0;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        if (count[act[i]] > end) act[keep++] = act[i];
+      }
+      n = keep;
     }
   }
 
-  if (converged) {
-    // --- fast path: position alignment, group order from lane 0 only ------
-    const std::uint64_t* meta0 = lanes_[0].meta.data();
-    begin_intern();
-    local_ids_.resize(n0);
-    for (std::size_t p = 0; p < n0; ++p) {
-      local_ids_[p] = local_of(LaneTrace::site_of(meta0[p]));
-    }
-    const std::uint32_t S = static_cast<std::uint32_t>(site_local_.size());
-    slot_count_.assign(S + 1, 0);
-    for (std::size_t p = 0; p < n0; ++p) slot_count_[local_ids_[p] + 1]++;
-    for (std::size_t i = 1; i < slot_count_.size(); ++i) {
-      slot_count_[i] += slot_count_[i - 1];
-    }
-    order_.resize(n0);
-    slot_cursor_.assign(slot_count_.begin(), slot_count_.end() - 1);
-    for (std::size_t p = 0; p < n0; ++p) {
-      order_[slot_cursor_[local_ids_[p]]++] = static_cast<std::uint32_t>(p);
-    }
-    // Hoisted lane address columns: the gather below is the single hottest
-    // loop in the simulator, and indexing lanes_[l].addr re-reads the vector
-    // header every step.
-    std::array<const std::uint64_t*, 64> lane_addr;
-    for (std::uint32_t l = 0; l < W; ++l) lane_addr[l] = lanes_[l].addr.data();
-    for (std::size_t i = 0; i < n0; ++i) {
-      const std::uint32_t p = order_[i];
-      for (std::uint32_t l = 0; l < W; ++l) addrs[l] = lane_addr[l][p];
-      charge(W, LaneTrace::kind_of(meta0[p]), LaneTrace::size_of(meta0[p]));
-    }
-  } else if (total_events != 0) {
-    // --- sorted path: counting sort by (local site, lane) -----------------
-    begin_intern();
-    local_ids_.clear();
-    for (std::uint32_t l = 0; l < W; ++l) {
-      for (const std::uint64_t mt : lanes_[l].meta) {
-        local_ids_.push_back(local_of(LaneTrace::site_of(mt)));
-      }
-    }
-    const std::uint32_t S = static_cast<std::uint32_t>(site_local_.size());
-    slot_count_.assign(static_cast<std::size_t>(S) * W + 1, 0);
-    {
-      std::size_t idx = 0;
-      for (std::uint32_t l = 0; l < W; ++l) {
-        const std::size_t cnt = lanes_[l].size();
-        for (std::size_t j = 0; j < cnt; ++j) {
-          slot_count_[static_cast<std::size_t>(local_ids_[idx]) * W + l + 1]++;
-          ++idx;
-        }
-      }
-    }
-    for (std::size_t i = 1; i < slot_count_.size(); ++i) {
-      slot_count_[i] += slot_count_[i - 1];
-    }
-    sorted_addr_.resize(total_events);
-    sorted_meta_.resize(total_events);
-    slot_cursor_.assign(slot_count_.begin(), slot_count_.end() - 1);
-    {
-      std::size_t idx = 0;
-      for (std::uint32_t l = 0; l < W; ++l) {
-        const LaneTrace& t = lanes_[l];
-        const std::size_t cnt = t.size();
-        for (std::size_t j = 0; j < cnt; ++j) {
-          const std::size_t slot = static_cast<std::size_t>(local_ids_[idx]) * W + l;
-          const std::size_t at = slot_cursor_[slot]++;
-          sorted_addr_[at] = t.addr[j];
-          sorted_meta_[at] = t.meta[j];
-          ++idx;
-        }
-      }
-    }
-    for (std::uint32_t s = 0; s < S; ++s) {
-      const std::size_t base = static_cast<std::size_t>(s) * W;
-      // Lanes still holding a k-th occurrence, ascending. The set only
-      // shrinks as k grows, so each group costs O(participants), not O(W) —
-      // the skewed trip counts of triangle kernels leave long tails where
-      // one or two lanes are still looping.
-      std::array<std::uint32_t, 64> act;
-      std::uint32_t na = 0;
-      for (std::uint32_t l = 0; l < W; ++l) {
-        if (slot_count_[base + l] < slot_count_[base + l + 1]) act[na++] = l;
-      }
-      for (std::uint32_t k = 0; na != 0; ++k) {
-        std::uint32_t n = 0;
-        std::uint32_t keep = 0;
-        AccessKind kind{};
-        std::uint8_t size = 4;
-        for (std::uint32_t i = 0; i < na; ++i) {
-          const std::uint32_t l = act[i];
-          const std::size_t lo = slot_count_[base + l];
-          const std::size_t hi = slot_count_[base + l + 1];
-          if (lo + k < hi && n < addrs.size()) {
-            const std::size_t at = lo + k;
-            addrs[n] = sorted_addr_[at];
-            kind = LaneTrace::kind_of(sorted_meta_[at]);
-            size = LaneTrace::size_of(sorted_meta_[at]);
-            ++n;
-          }
-          if (lo + k + 1 < hi) act[keep++] = l;
-        }
-        na = keep;
-        charge(n, kind, size);
-      }
-    }
-  }
-
-  for (std::uint32_t l = 0; l < W; ++l) lanes_[l].clear();
+  order_.clear();
   m.warp_steps += steps;
   m.active_lane_steps += active;
   return cycles;

@@ -1,8 +1,11 @@
-// Direct unit tests of the warp aggregator — lane traces constructed by
+// Direct unit tests of the warp aggregator — lane accesses recorded by
 // hand, so every grouping rule is pinned without a kernel in the loop.
 #include "simt/warp_trace.hpp"
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
 
 namespace tcgpu::simt {
 namespace {
@@ -18,7 +21,7 @@ GpuSpec unit_spec() {
 
 void push(WarpAggregator& agg, std::uint32_t l, std::uint64_t addr,
           std::uint32_t site, AccessKind kind, std::uint8_t size = 4) {
-  agg.lane(l).push(addr, site, kind, size);
+  agg.record(l, addr, site, kind, size);
 }
 
 TEST(WarpAggregator, EmptyFlushCostsNothing) {
@@ -87,8 +90,8 @@ TEST(WarpAggregator, DivergentLaneCountsGiveMaxSteps) {
 TEST(WarpAggregator, ComputeStepsUseMaxAcrossLanes) {
   const GpuSpec spec = unit_spec();
   WarpAggregator agg(spec);
-  agg.lane(0).compute_steps = 10;
-  agg.lane(5).compute_steps = 4;
+  agg.add_compute(0, 10);
+  agg.add_compute(5, 4);
   KernelMetrics m;
   const double cycles = agg.flush(m);
   EXPECT_EQ(m.warp_steps, 10u);
@@ -224,9 +227,9 @@ TEST(WarpAggregator, ScatteredSectorsStillDedupExactly) {
 }
 
 TEST(WarpAggregator, ConvergedInterleavedSitesGroupBySite) {
-  // Every lane issues [site A, site B, site A] — eligible for the converged
-  // fast path. Grouping must still be per (site, occurrence): 2 requests at
-  // A, 1 at B, and the A groups stay coalesced.
+  // Every lane issues [site A, site B, site A], so every row is full and is
+  // charged in place. Grouping must still be per (site, occurrence): 2
+  // requests at A, 1 at B, and the A groups stay coalesced.
   const GpuSpec spec = unit_spec();
   WarpAggregator agg(spec);
   for (std::uint32_t l = 0; l < 32; ++l) {
@@ -244,8 +247,8 @@ TEST(WarpAggregator, ConvergedInterleavedSitesGroupBySite) {
 
 TEST(WarpAggregator, ConvergedAndDivergentOrderingsAgree) {
   // The same logical warp once fully converged and once with one lane's
-  // trailing event withheld (forcing the sorted path): request totals match
-  // apart from the one missing lane-31 contribution.
+  // trailing access withheld (leaving a partial row to gather): request
+  // totals match apart from the one missing lane-31 contribution.
   const GpuSpec spec = unit_spec();
   auto run = [&](bool withhold) {
     WarpAggregator agg(spec);
@@ -282,13 +285,133 @@ TEST(WarpAggregator, LanesAreClearedAfterFlush) {
   const GpuSpec spec = unit_spec();
   WarpAggregator agg(spec);
   push(agg, 0, 0, 23, AccessKind::kGlobalLoad);
-  agg.lane(0).compute_steps = 3;
+  agg.add_compute(0, 3);
+  EXPECT_FALSE(agg.empty());
   KernelMetrics m;
   agg.flush(m);
-  EXPECT_TRUE(agg.lane(0).empty());
+  EXPECT_TRUE(agg.empty());
   const std::uint64_t steps_before = m.warp_steps;
   agg.flush(m);  // nothing recorded since
   EXPECT_EQ(m.warp_steps, steps_before);
+}
+
+// Byte stride at which two sectors share a slot of the direct-mapped cache.
+std::uint64_t alias_stride(const GpuSpec& spec) {
+  return static_cast<std::uint64_t>(spec.l1_cache_sectors) * spec.sector_bytes;
+}
+
+TEST(WarpAggregator, PartialRowGathersLanesInAscendingOrder) {
+  // Only lanes 3, 17 and 31 issue at the site: one instruction, 3 active
+  // lanes. Lanes 3 and 17 touch colliding sectors, so the sector that
+  // survives in the cache tells which lane the gather put last.
+  const GpuSpec spec = unit_spec();
+  WarpAggregator agg(spec);
+  const std::uint64_t stride = alias_stride(spec);
+  push(agg, 3, 0, 51, AccessKind::kGlobalLoad);
+  push(agg, 17, stride, 51, AccessKind::kGlobalLoad);
+  push(agg, 31, 64, 51, AccessKind::kGlobalLoad);
+  KernelMetrics m;
+  agg.flush(m);
+  EXPECT_EQ(m.global_load_requests, 1u);
+  EXPECT_EQ(m.global_load_transactions, 3u);
+  EXPECT_EQ(m.warp_steps, 1u);
+  EXPECT_EQ(m.active_lane_steps, 3u);
+  EXPECT_EQ(m.global_dram_transactions, 3u);
+  // Lane 17's sector was installed after lane 3's and evicted it.
+  push(agg, 0, stride, 51, AccessKind::kGlobalLoad);
+  agg.flush(m);
+  EXPECT_EQ(m.global_dram_transactions, 3u);  // hit
+  push(agg, 0, 0, 51, AccessKind::kGlobalLoad);
+  agg.flush(m);
+  EXPECT_EQ(m.global_dram_transactions, 4u);  // miss
+}
+
+TEST(WarpAggregator, SitesAreChargedInCrossLaneFirstAppearanceOrder) {
+  // Lane 0 issues only site B; lane 1 issues A, then B. B appeared first
+  // (lane 0 records before lane 1), so B's group is charged before A's.
+  // A's sector collides with B's: charged second, it is the one the cache
+  // keeps, so re-reading it afterwards hits.
+  const GpuSpec spec = unit_spec();
+  WarpAggregator agg(spec);
+  const std::uint64_t stride = alias_stride(spec);
+  constexpr std::uint32_t kSiteA = 61;
+  constexpr std::uint32_t kSiteB = 63;
+  push(agg, 0, 0, kSiteB, AccessKind::kGlobalLoad);
+  push(agg, 1, stride, kSiteA, AccessKind::kGlobalLoad);
+  push(agg, 1, 4, kSiteB, AccessKind::kGlobalLoad);
+  KernelMetrics m;
+  agg.flush(m);
+  EXPECT_EQ(m.global_load_requests, 2u);
+  EXPECT_EQ(m.global_dram_transactions, 2u);
+  push(agg, 0, stride, kSiteA, AccessKind::kGlobalLoad);
+  agg.flush(m);
+  EXPECT_EQ(m.global_dram_transactions, 2u);  // A's sector survived: a hit
+}
+
+TEST(WarpAggregator, SiteRecordedWithTwoShapesInOneUnitThrows) {
+  const GpuSpec spec = unit_spec();
+  auto message = [](auto&& fn) -> std::string {
+    try {
+      fn();
+    } catch (const std::logic_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  {
+    WarpAggregator agg(spec);
+    push(agg, 0, 0, 71, AccessKind::kGlobalLoad, 4);
+    const std::string what =
+        message([&] { push(agg, 1, 0, 71, AccessKind::kGlobalLoad, 8); });
+    EXPECT_NE(what.find("site 71"), std::string::npos) << what;
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  }
+  {
+    WarpAggregator agg(spec);
+    push(agg, 0, 0, 73, AccessKind::kGlobalLoad);
+    const std::string what =
+        message([&] { push(agg, 0, 0, 73, AccessKind::kSharedLoad); });
+    EXPECT_NE(what.find("site 73"), std::string::npos) << what;
+  }
+  {
+    // The shape is per unit: a flush frees the site for another shape.
+    WarpAggregator agg(spec);
+    KernelMetrics m;
+    push(agg, 0, 0, 75, AccessKind::kGlobalLoad, 4);
+    agg.flush(m);
+    push(agg, 0, 0, 75, AccessKind::kGlobalStore, 8);
+    agg.flush(m);
+    EXPECT_EQ(m.global_load_requests, 1u);
+    EXPECT_EQ(m.global_store_requests, 1u);
+  }
+}
+
+TEST(WarpAggregator, GroupsByLaneNotByRecordOrder) {
+  // Lanes 3 and 1 each issue two loads at one site, lane 3 first. Each
+  // occurrence still forms one 2-lane instruction, gathered in lane order:
+  // lane 3's sector collides with lane 1's and, installed last, survives.
+  const GpuSpec spec = unit_spec();
+  WarpAggregator agg(spec);
+  const std::uint64_t stride = alias_stride(spec);
+  push(agg, 3, 0, 81, AccessKind::kGlobalLoad);
+  push(agg, 3, 64, 81, AccessKind::kGlobalLoad);
+  push(agg, 1, stride, 81, AccessKind::kGlobalLoad);
+  push(agg, 1, stride + 64, 81, AccessKind::kGlobalLoad);
+  KernelMetrics m;
+  agg.flush(m);
+  EXPECT_EQ(m.global_load_requests, 2u);
+  EXPECT_EQ(m.warp_steps, 2u);
+  EXPECT_EQ(m.active_lane_steps, 4u);
+  EXPECT_EQ(m.global_dram_transactions, 4u);
+  push(agg, 0, 0, 81, AccessKind::kGlobalLoad);
+  agg.flush(m);
+  EXPECT_EQ(m.global_dram_transactions, 4u);  // lane 3's sector: a hit
+}
+
+TEST(WarpAggregator, RejectsWarpsOtherThan32Lanes) {
+  GpuSpec spec = unit_spec();
+  spec.warp_size = 64;
+  EXPECT_THROW(WarpAggregator agg(spec), std::invalid_argument);
 }
 
 }  // namespace
